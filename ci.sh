@@ -33,6 +33,22 @@ cargo run --release -p nb-bench --bin session_report -- --quick
 python3 ci/check_bench_json.py session
 
 if ! $quick; then
+    # Timing-sensitive suites, rerun under oversubscribed test threads
+    # so an ordering race surfaces here rather than as a one-off
+    # failure of the plain test run: relay counters read right after a
+    # delivery, and a late tracker learning availability from the JOIN.
+    echo "== timing-sensitive suites (10 runs, 8 test threads) =="
+    for run in $(seq 1 10); do
+        echo "-- run $run/10"
+        cargo test --release -q -p nb-broker --test sessions -- --test-threads=8
+        cargo test --release -q -p nb-tracing --test join_ordering -- --test-threads=8
+    done
+
+    # The benchmark's own unit tests (percentiles, spread, span
+    # reconciliation). It is a package outside the workspace.
+    echo "== perfbench tests =="
+    cargo test --release --manifest-path perfbench/Cargo.toml
+
     if cargo clippy --version >/dev/null 2>&1; then
         echo "== clippy =="
         cargo clippy --workspace --all-targets -- -D warnings

@@ -1445,6 +1445,10 @@ fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> boo
     if let Some((off, hop)) = hop_patch {
         frame[off] = hop;
     }
+    // Count the path choice before the first send, as the slow path
+    // does on entry: whoever has seen a fast-path delivery also sees
+    // it counted.
+    inner.routes.fastpath.inc();
     if let OriginRef::Client(_) = origin {
         inner.metrics.published.inc();
         entry.published_family.inc();
@@ -1476,7 +1480,6 @@ fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> boo
             }
         }
     }
-    inner.routes.fastpath.inc();
     inner.routes.latency_ns.record(now_ns().saturating_sub(t0));
     true
 }

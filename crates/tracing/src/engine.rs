@@ -822,13 +822,6 @@ fn handle_interest_response(inner: &Arc<EngineInner>, msg: &Message) {
             refreshed_ms: now,
         },
     );
-    // A tracker that registers interest after the original JOIN was
-    // published would otherwise never learn the entity is available;
-    // re-announce on first contact.
-    if first_contact && session.joined && session.detector.liveness() != Liveness::Failed {
-        publish_trace(inner, session, TraceKind::Join, now);
-    }
-
     // Secured tracing: deliver the trace key to newly interested,
     // authorized trackers (§5.1).
     if session.trace_key.is_some() {
@@ -837,6 +830,18 @@ fn handle_interest_response(inner: &Arc<EngineInner>, msg: &Message) {
     // Session layer: fan the current session key out to trackers that
     // do not hold it yet.
     deliver_session_keys(inner, session, now);
+
+    // A tracker that registers interest after the original JOIN was
+    // published would otherwise never learn the entity is available;
+    // re-announce on first contact. This runs after the key deliveries
+    // so the JOIN reaches a tracker that can already open it:
+    // `publish_internal` routes synchronously on this thread, each
+    // neighbour link drains through a single worker and TCP preserves
+    // order, so on a broker chain the keys arrive first. On a link that
+    // reorders, the next heartbeat still announces the entity.
+    if first_contact && session.joined && session.detector.liveness() != Liveness::Failed {
+        publish_trace(inner, session, TraceKind::Join, now);
+    }
 }
 
 fn trace_topic_from_message(msg: &Message) -> Option<Uuid> {

@@ -508,13 +508,14 @@ fn apply_event(inner: &TrackerInner, event: TraceEvent) {
     if event.trace_topic != inner.trace_topic || event.entity_id != inner.entity_id {
         return;
     }
-    // Journal only what the view accepted: stale re-deliveries never
-    // reach the log, so replay after a crash applies each event
-    // exactly once.
-    if !inner.view.apply(&event) {
+    // Counted before the change is visible, so a reader that has seen
+    // the view change also sees it counted. Journal only what the view
+    // accepted: stale re-deliveries never reach the log, so replay
+    // after a crash applies each event exactly once.
+    let count = || inner.metrics.traces_applied.inc();
+    if !inner.view.apply_then(&event, count) {
         return;
     }
-    inner.metrics.traces_applied.inc();
     let mut guard = inner.persist.lock();
     if let Some(durable) = guard.as_mut() {
         if durable.record(&event).is_ok() && durable.should_checkpoint() {

@@ -77,6 +77,14 @@ impl AvailabilityView {
     /// was discarded as stale — the caller's signal for whether the
     /// event is worth journalling (see `nb_tracing::persist`).
     pub fn apply(&self, event: &TraceEvent) -> bool {
+        self.apply_then(event, || {})
+    }
+
+    /// Like [`AvailabilityView::apply`], but runs `on_applied` when the
+    /// event is accepted, before the change becomes visible to readers
+    /// or wakes waiters. Counters bumped there are therefore never
+    /// behind what a reader of the view has already seen.
+    pub fn apply_then(&self, event: &TraceEvent, on_applied: impl FnOnce()) -> bool {
         {
             let mut entities = self.entities.write();
             let record = entities
@@ -117,6 +125,7 @@ impl AvailabilityView {
                 TraceKind::NetworkMetrics(metrics) => record.network = Some(*metrics),
                 TraceKind::GaugeInterest => {}
             }
+            on_applied();
         } // write lock released before signalling — see wait_until
         let mut generation = self.notify.generation.lock();
         *generation += 1;
@@ -250,6 +259,16 @@ mod tests {
         assert_eq!(view.status("e1"), Some(EntityStatus::Available));
         view.apply(&event(5, TraceKind::RevertingToSilentMode));
         assert_eq!(view.status("e1"), Some(EntityStatus::Offline));
+    }
+
+    #[test]
+    fn apply_then_runs_only_for_accepted_events() {
+        let view = AvailabilityView::new();
+        let mut accepted = 0;
+        assert!(view.apply_then(&event(2, TraceKind::Join), || accepted += 1));
+        assert!(!view.apply_then(&event(1, TraceKind::Failed), || accepted += 1));
+        assert_eq!(accepted, 1);
+        assert_eq!(view.status("e1"), Some(EntityStatus::Available));
     }
 
     #[test]
